@@ -87,21 +87,58 @@ BACKLOG_SLACK_S = 0.5
 # Traced and untraced passes must agree like batch and scalar paths do.
 IDENTICAL_TOF_S = 1e-12
 
+# Each workload must load the layer it was chosen for: in the traced
+# pass, the first per-layer figure exceeds this share of the second.
+LAYER_SHARES = {
+    "fig7_sweeps": ("prep.band_products_s_per_link", "engine.sweeps_s_per_link"),
+    "ista_products": ("sparse.invert_s_per_link", "engine.products_s_per_link"),
+}
+MIN_LAYER_SHARE = 0.5
+# The open loop exists to show the stream's coalescing and queueing.
+STREAM_LAYER_KEYS = ("stream.links_per_flush", "stream.queue_wait_p50_s")
+
 
 def _quantile(values, q: float) -> float:
     finite = [v for v in values if math.isfinite(v)]
     return float(np.quantile(finite, q)) if finite else math.nan
 
 
-def _threads_now() -> int:
-    """Threads of this process, native BLAS workers included (Linux)."""
+def _status_field(field: str) -> int | None:
+    """A numeric field of ``/proc/self/status`` (Linux), or None."""
     try:
         for line in Path("/proc/self/status").read_text().splitlines():
-            if line.startswith("Threads:"):
+            if line.startswith(field + ":"):
                 return int(line.split()[1])
     except OSError:
         pass
-    return threading.active_count()
+    return None
+
+
+def _threads_now() -> int:
+    """Threads of this process, native BLAS workers included (Linux)."""
+    threads = _status_field("Threads")
+    return threading.active_count() if threads is None else threads
+
+
+def reset_peak_rss() -> bool:
+    """Restart the high-water mark at the current RSS (Linux ``clear_refs``).
+
+    Input generation and the drift probe run before the timed pass; with
+    the mark reset, ``peak_rss_mb`` covers the pass alone.
+    """
+    try:
+        with open("/proc/self/clear_refs", "w") as f:
+            f.write("5")
+    except OSError:
+        return False
+    return _status_field("VmHWM") is not None
+
+
+def peak_rss_mb(since_reset: bool) -> float:
+    """Peak RSS since :func:`reset_peak_rss`, else over the whole process."""
+    if since_reset:
+        return _status_field("VmHWM") / 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class ThreadSampler:
@@ -176,24 +213,54 @@ def accuracy_checks(workload: str, result, tof_p50_ns: float, fix_p50_m: float) 
     return checks
 
 
-def end_to_end_metrics(workload: str, result, setup_samples: list[float]) -> dict:
+def end_to_end_metrics(workload: str, result, setup_samples: list[float],
+                       rss_mb: float) -> dict:
+    """Every end-to-end metric; some are derived on some workloads.
+
+    The result must carry every metric on every workload, but not all of
+    them mean something everywhere.  Where they do not, the value is
+    derived from another metric and cannot move on its own:
+
+    * closed loops (``fig7_sweeps``, ``ista_products``): latency is the
+      round size over throughput, so ``latency_p50_s`` and
+      ``latency_p90_s`` both carry the mean round time;
+    * ``fleet_open``: ``links_per_s`` is the offered rate by construction;
+    * ranging workloads: ``fix_error_p50_m`` is ``tof_error_p50_ns``
+      times the speed of light (the one-dimensional fix).
+    """
+    from perfbench.workloads import ROUND_LINKS
     from repro.rf.constants import SPEED_OF_LIGHT
 
     errors_s = _abs_tof_errors_s(result)
+    links_per_s = result.n_links / result.wall_s
     if workload == "fleet_open":
         fix_error_m = _quantile(result.position_error_m, 0.5)
+        latency_p50_s = _quantile(result.latencies_s, 0.5)
+        latency_p90_s = _quantile(result.latencies_s, 0.9)
     else:
         fix_error_m = _quantile(errors_s, 0.5) * SPEED_OF_LIGHT
+        latency_p50_s = latency_p90_s = ROUND_LINKS[workload] / links_per_s
     return {
         "setup_s": statistics.median(setup_samples),
-        "links_per_s": result.n_links / result.wall_s,
-        "latency_p50_s": _quantile(result.latencies_s, 0.5),
-        "latency_p90_s": _quantile(result.latencies_s, 0.9),
+        "links_per_s": links_per_s,
+        "latency_p50_s": latency_p50_s,
+        "latency_p90_s": latency_p90_s,
         "cpu_ms_per_link": 1e3 * result.cpu_s / result.n_links,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": rss_mb,
         "tof_error_p50_ns": _quantile(errors_s, 0.5) * 1e9,
         "fix_error_p50_m": fix_error_m,
     }
+
+
+def layer_checks(workload: str, layer: dict) -> dict:
+    """The traced pass shows the workload loading its layer."""
+    checks = {}
+    if workload in LAYER_SHARES:
+        part, whole = LAYER_SHARES[workload]
+        checks["layer_share_above_half"] = layer[part] > MIN_LAYER_SHARE * layer[whole]
+    if workload == "fleet_open":
+        checks["stream_layer_reported"] = all(layer[k] > 0 for k in STREAM_LAYER_KEYS)
+    return checks
 
 
 def identical_estimates(a, b) -> bool:
@@ -233,7 +300,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
     }
     setup_samples = [] if trace else [measure_setup_s(workload, seed) for _ in range(SETUP_PROBES)]
 
+    rss_reset = reset_peak_rss()
     result = workloads.run_pass(workload, measured, warmup)
+    rss_mb = peak_rss_mb(rss_reset)
     if trace:
         ledger = Ledger()
         with ThreadSampler() as sampler, ledger.installed():
@@ -246,7 +315,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
     steal1 = envprobe.cpu_steal_ticks()
 
     errors_s = _abs_tof_errors_s(result)
-    values = end_to_end_metrics(workload, result, setup_samples or [math.nan])
+    values = end_to_end_metrics(workload, result, setup_samples or [math.nan], rss_mb)
     checks = accuracy_checks(workload, result, values["tof_error_p50_ns"],
                              values["fix_error_p50_m"])
     if trace:
@@ -259,8 +328,10 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
             "proc.threads_peak": sampler.peak,
             "gen.late_p99_s": _quantile(traced.late_s, 0.99) if traced.late_s else 0.0,
             "env.ref_loop_s": 0.5 * (ref_before + ref_after),
-            "trace.overhead_ratio": traced.wall_s / result.wall_s,
+            # CPU, not wall: the open loop's wall time is its schedule.
+            "trace.overhead_ratio": traced.cpu_s / result.cpu_s,
         })
+        checks.update(layer_checks(workload, layer))
         metrics = _with_units(layer, PER_LAYER_UNITS)
     else:
         metrics = _with_units(values, END_TO_END_UNITS)
@@ -271,9 +342,14 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
         "checks": checks,
         "end_to_end": values,
         "setup_samples_s": setup_samples,
+        "peak_rss_scope": "pass" if rss_reset else "process",
         "ref_loop_s": [ref_before, ref_after],
         "steal_ticks": None if steal0 is None else steal1 - steal0,
         "max_tof_error_ns": max(errors_s) * 1e9 if errors_s else None,
+        # Measured per-request latency; on the closed loops the metrics
+        # carry the mean round time instead (see end_to_end_metrics).
+        "request_latency_p50_p90_s": [_quantile(result.latencies_s, 0.5),
+                                      _quantile(result.latencies_s, 0.9)],
         "fingerprint": envprobe.fingerprint(ROOT),
     })
     out = {

@@ -101,3 +101,33 @@ def test_fails_without_the_program(tmp_path):
     proc = _run("ista_products", 0, cwd=tmp_path)
     assert proc.returncode != 0
     assert proc.stdout.strip() == ""
+
+
+def test_layer_checks_need_the_chosen_layer_to_dominate():
+    fig7 = {"prep.band_products_s_per_link": 0.2, "engine.sweeps_s_per_link": 0.3}
+    assert run_mod.layer_checks("fig7_sweeps", fig7) == {"layer_share_above_half": True}
+    fig7["prep.band_products_s_per_link"] = 0.1
+    assert run_mod.layer_checks("fig7_sweeps", fig7) == {"layer_share_above_half": False}
+    fleet = {"stream.links_per_flush": 4.0, "stream.queue_wait_p50_s": 0.0}
+    assert run_mod.layer_checks("fleet_open", fleet) == {"stream_layer_reported": False}
+
+
+def test_closed_loop_latency_is_the_mean_round_time():
+    result = workloads.PassResult(tof_s=[1e-9] * 8, true_tof_s=[1e-9] * 8,
+                                  latencies_s=[0.1] * 8, n_links=8, wall_s=2.0, cpu_s=2.0)
+    values = run_mod.end_to_end_metrics("fig7_sweeps", result, [1.0], 100.0)
+    assert values["links_per_s"] == 4.0
+    assert values["latency_p50_s"] == values["latency_p90_s"] == workloads.FIG7_ROUND_LINKS / 4.0
+
+
+def test_peak_rss_covers_only_what_follows_the_reset():
+    import numpy as np
+
+    big = np.ones(20_000_000)  # 160 MB before the reset
+    del big
+    before = run_mod.peak_rss_mb(False)
+    if not run_mod.reset_peak_rss():
+        pytest.skip("no resettable high-water mark on this platform")
+    small = np.ones(2_000_000)
+    assert run_mod.peak_rss_mb(True) < before - 100
+    del small

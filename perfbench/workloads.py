@@ -29,7 +29,7 @@ from repro.rf.constants import SPEED_OF_LIGHT
 from repro.stream import StreamingRangingService
 
 FIG7_ROUND_LINKS = 4
-FIG7_LINKS_PER_S = 3.5
+FIG7_LINKS_PER_S = 4.2
 """Nominal rate sizing the fixed work: ``seconds × rate`` links."""
 
 ISTA_BATCH_LINKS = 64
@@ -41,6 +41,9 @@ FLEET_LEAD_S = 0.05
 
 WARMUP_LINKS = 2
 WARMUP_FIXES = 2
+
+ROUND_LINKS = {"fig7_sweeps": FIG7_ROUND_LINKS, "ista_products": ISTA_BATCH_LINKS}
+"""Links per round of each closed loop."""
 
 
 @dataclass
