@@ -1,10 +1,14 @@
-"""Environment fingerprint and the box-drift reference loop.
+"""Environment fingerprint, the box-drift reference loop and the speed probe.
 
 Recorded with every run so a reviewer can tell a code change from a
 different box: core count, the BLAS pools actually loaded and their
 thread counts, library versions, the contract-checking flag and the
 source revision.  BLAS threads are read, never set: oversubscription is
 a property of the program under test, and pinning it here would hide it.
+
+:class:`SpeedProbe` times a short fixed loop between units of the
+program's work, so every timing metric can be stated at a reference box
+speed (see ``DESIGN.md``, *Box speed*).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -152,3 +157,59 @@ def ref_loop_s() -> float:
     if acc < 0 or not np.isfinite(b).all():
         raise RuntimeError("reference loop produced an impossible value")
     return time.perf_counter() - start
+
+
+REFERENCE_PROBE_S = 0.011
+"""Median :class:`SpeedProbe` time that defines the reference box speed.
+
+It is the median probe on the 2-vCPU Xeon virtual machine the bounds
+were set on; any fixed value works, since parent and change are
+compared on the same box.
+"""
+
+PROBE_ITERATIONS = 150_000
+
+
+class SpeedProbe:
+    """The box's speed, sampled between units of the program's work.
+
+    Each :meth:`sample` times a fixed pure-Python loop (about 11 ms).
+    The program's own code never runs in it, and callers sample only
+    while the program has no work in flight, so its time tracks the box
+    alone.  On a shared virtual machine the box's speed drifts by a
+    fifth or more over tens of seconds, and the program's time moves
+    with it; :meth:`factor` turns a time measured during the samples
+    into a time at the reference speed.
+    """
+
+    def __init__(self) -> None:
+        self.wall_s: list[float] = []
+        self.cpu_s = 0.0
+        """This thread's CPU time spent in samples, to take out of totals."""
+
+    def sample(self) -> None:
+        cpu0 = time.thread_time()
+        start = time.perf_counter()
+        acc = 0
+        for i in range(PROBE_ITERATIONS):
+            acc += (i * i) % 7
+        self.wall_s.append(time.perf_counter() - start)
+        self.cpu_s += time.thread_time() - cpu0
+        if acc < 0:
+            raise RuntimeError("speed probe produced an impossible value")
+
+    def median_s(self) -> float:
+        return statistics.median(self.wall_s)
+
+    def recent_factor(self, n: int) -> float:
+        """:meth:`factor` over the last ``n`` samples only."""
+        return REFERENCE_PROBE_S / statistics.median(self.wall_s[-n:])
+
+    def factor(self) -> float:
+        """Multiply a measured time by this to state it at the reference speed.
+
+        The median sample, not the mean: one sample preempted for a few
+        milliseconds would move a mean of short samples far more than it
+        moves the long stretch of work they bracket.
+        """
+        return REFERENCE_PROBE_S / self.median_s()

@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload fig7_sweeps --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload fig7_sweeps --seed 1 --seconds 25 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` runs the same
 inputs untraced and then traced, checks that both return identical
@@ -71,6 +71,8 @@ PER_LAYER_UNITS = {
 }
 
 SETUP_PROBES = 3
+SETUP_SPEED_SAMPLES = 10
+"""Speed samples taken on each side of every set-up probe."""
 
 # Accuracy bounds against the simulated truth: about three times
 # today's median on the testbed sweeps (the paper's LOS median, 0.47 ns)
@@ -176,10 +178,17 @@ def _setup_probe_child(workload: str, seed: int) -> None:
     print(json.dumps({"gen_s": gen_s}), flush=True)
 
 
-def measure_setup_s(workload: str, seed: int) -> float:
-    """Spawn-to-first-response wall time, minus warm-up input generation."""
+def measure_setup_s(workload: str, seed: int) -> tuple[float, float]:
+    """Spawn-to-first-response wall time, minus warm-up input generation.
+
+    Returns ``(measured, at the reference speed)``; the box's speed is
+    sampled just before and just after the probe.
+    """
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
            "--workload", workload, "--seed", str(seed)]
+    speed = envprobe.SpeedProbe()
+    for _ in range(SETUP_SPEED_SAMPLES):
+        speed.sample()
     start = time.perf_counter()
     with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True) as proc:
         line = proc.stdout.readline()
@@ -188,7 +197,10 @@ def measure_setup_s(workload: str, seed: int) -> float:
         code = proc.wait(timeout=60)
     if code != 0 or not line:
         raise RuntimeError(f"set-up probe exited with {code}")
-    return elapsed - json.loads(line)["gen_s"]
+    for _ in range(SETUP_SPEED_SAMPLES):
+        speed.sample()
+    measured = elapsed - json.loads(line)["gen_s"]
+    return measured, measured * speed.factor()
 
 
 # ----------------------------------------------------------------------
@@ -198,15 +210,26 @@ def _abs_tof_errors_s(result) -> list[float]:
     return [abs(t - true) for t, true in zip(result.tof_s, result.true_tof_s, strict=True)]
 
 
+def fleet_latencies_s(result) -> list[float]:
+    """The open loop's latencies at the reference speed.
+
+    Each fix's latency is scaled by the speed factor its schedule ran at,
+    so a slow stretch of the box is taken out where it happened.
+    """
+    return [latency * factor for latency, factor
+            in zip(result.latencies_s, result.latency_factors, strict=True)]
+
+
 def accuracy_checks(workload: str, result, tof_p50_ns: float, fix_p50_m: float) -> dict:
     checks = {
         "no_failures": result.failed == 0,
         "tof_error_p50_within_bound": tof_p50_ns <= TOF_ERROR_P50_MAX_NS[workload],
     }
     if workload == "fleet_open":
-        quarter = max(1, len(result.latencies_s) // 4)
-        first = statistics.median(result.latencies_s[:quarter])
-        last = statistics.median(result.latencies_s[-quarter:])
+        latencies_s = fleet_latencies_s(result)
+        quarter = max(1, len(latencies_s) // 4)
+        first = statistics.median(latencies_s[:quarter])
+        last = statistics.median(latencies_s[-quarter:])
         checks["fix_error_p50_within_bound"] = fix_p50_m <= FIX_ERROR_P50_MAX_M
         checks["generator_on_time"] = _quantile(result.late_s, 0.99) <= LATE_P99_MAX_S
         checks["no_growing_backlog"] = last <= BACKLOG_FACTOR * first + BACKLOG_SLACK_S
@@ -217,6 +240,10 @@ def end_to_end_metrics(workload: str, result, setup_samples: list[float],
                        rss_mb: float) -> dict:
     """Every end-to-end metric; some are derived on some workloads.
 
+    Times are stated at the reference box speed: the pass's times are
+    multiplied by ``result.speed_factor``, and ``setup_samples`` come
+    already adjusted (see ``DESIGN.md``, *Box speed*).
+
     The result must carry every metric on every workload, but not all of
     them mean something everywhere.  Where they do not, the value is
     derived from another metric and cannot move on its own:
@@ -224,7 +251,8 @@ def end_to_end_metrics(workload: str, result, setup_samples: list[float],
     * closed loops (``fig7_sweeps``, ``ista_products``): latency is the
       round size over throughput, so ``latency_p50_s`` and
       ``latency_p90_s`` both carry the mean round time;
-    * ``fleet_open``: ``links_per_s`` is the offered rate by construction;
+    * ``fleet_open``: ``links_per_s`` is the offered rate (in reference
+      seconds) by construction;
     * ranging workloads: ``fix_error_p50_m`` is ``tof_error_p50_ns``
       times the speed of light (the one-dimensional fix).
     """
@@ -232,11 +260,12 @@ def end_to_end_metrics(workload: str, result, setup_samples: list[float],
     from repro.rf.constants import SPEED_OF_LIGHT
 
     errors_s = _abs_tof_errors_s(result)
-    links_per_s = result.n_links / result.wall_s
+    speed = result.speed_factor
+    links_per_s = result.n_links / (result.wall_s * speed)
     if workload == "fleet_open":
         fix_error_m = _quantile(result.position_error_m, 0.5)
-        latency_p50_s = _quantile(result.latencies_s, 0.5)
-        latency_p90_s = _quantile(result.latencies_s, 0.9)
+        latency_p50_s = _quantile(fleet_latencies_s(result), 0.5)
+        latency_p90_s = _quantile(fleet_latencies_s(result), 0.9)
     else:
         fix_error_m = _quantile(errors_s, 0.5) * SPEED_OF_LIGHT
         latency_p50_s = latency_p90_s = ROUND_LINKS[workload] / links_per_s
@@ -245,7 +274,7 @@ def end_to_end_metrics(workload: str, result, setup_samples: list[float],
         "links_per_s": links_per_s,
         "latency_p50_s": latency_p50_s,
         "latency_p90_s": latency_p90_s,
-        "cpu_ms_per_link": 1e3 * result.cpu_s / result.n_links,
+        "cpu_ms_per_link": 1e3 * result.cpu_s * speed / result.n_links,
         "peak_rss_mb": rss_mb,
         "tof_error_p50_ns": _quantile(errors_s, 0.5) * 1e9,
         "fix_error_p50_m": fix_error_m,
@@ -298,7 +327,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
         "work_size": size,
         "inputs_sha256": digest(measured),
     }
-    setup_samples = [] if trace else [measure_setup_s(workload, seed) for _ in range(SETUP_PROBES)]
+    setup_pairs = [] if trace else [measure_setup_s(workload, seed) for _ in range(SETUP_PROBES)]
+    setup_samples = [adjusted for _, adjusted in setup_pairs]
 
     rss_reset = reset_peak_rss()
     result = workloads.run_pass(workload, measured, warmup)
@@ -329,7 +359,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
             "gen.late_p99_s": _quantile(traced.late_s, 0.99) if traced.late_s else 0.0,
             "env.ref_loop_s": 0.5 * (ref_before + ref_after),
             # CPU, not wall: the open loop's wall time is its schedule.
-            "trace.overhead_ratio": traced.cpu_s / result.cpu_s,
+            "trace.overhead_ratio": (traced.cpu_s * traced.speed_factor)
+            / (result.cpu_s * result.speed_factor),
         })
         checks.update(layer_checks(workload, layer))
         metrics = _with_units(layer, PER_LAYER_UNITS)
@@ -341,7 +372,16 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
     diagnostics.update({
         "checks": checks,
         "end_to_end": values,
-        "setup_samples_s": setup_samples,
+        "setup_samples_s": [measured for measured, _ in setup_pairs],
+        "setup_samples_at_reference_s": setup_samples,
+        "speed": {
+            "factor": result.speed_factor,
+            "probe_median_s": result.speed_probe_s,
+            "samples": result.n_speed_probes,
+            "reference_probe_s": envprobe.REFERENCE_PROBE_S,
+            "pass_wall_s": result.wall_s,
+            "pass_cpu_s": result.cpu_s,
+        },
         "peak_rss_scope": "pass" if rss_reset else "process",
         "ref_loop_s": [ref_before, ref_after],
         "steal_ticks": None if steal0 is None else steal1 - steal0,
@@ -350,6 +390,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
         # carry the mean round time instead (see end_to_end_metrics).
         "request_latency_p50_p90_s": [_quantile(result.latencies_s, 0.5),
                                       _quantile(result.latencies_s, 0.9)],
+        "fix_latencies_at_reference_s": (
+            [round(v, 5) for v in fleet_latencies_s(result)] if workload == "fleet_open" else []),
         "fingerprint": envprobe.fingerprint(ROOT),
     })
     out = {

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from perfbench import envprobe
 from perfbench import ledger as ledger_mod
 from perfbench import run as run_mod
 from perfbench import workloads
@@ -118,6 +120,33 @@ def test_closed_loop_latency_is_the_mean_round_time():
     values = run_mod.end_to_end_metrics("fig7_sweeps", result, [1.0], 100.0)
     assert values["links_per_s"] == 4.0
     assert values["latency_p50_s"] == values["latency_p90_s"] == workloads.FIG7_ROUND_LINKS / 4.0
+
+
+def test_pass_times_are_stated_at_the_reference_speed():
+    """A pass run on a box at half the reference speed reads as twice as fast."""
+    closed = workloads.PassResult(tof_s=[1e-9] * 8, true_tof_s=[1e-9] * 8,
+                                  latencies_s=[0.1] * 8, n_links=8, wall_s=2.0, cpu_s=2.0,
+                                  speed_factor=0.5)
+    values = run_mod.end_to_end_metrics("ista_products", closed, [1.0], 100.0)
+    assert values["links_per_s"] == 8.0
+    assert values["cpu_ms_per_link"] == 125.0
+    # The open loop scales each fix by the factor its schedule ran at.
+    fleet = workloads.PassResult(tof_s=[1e-9] * 8, true_tof_s=[1e-9] * 8,
+                                 position_error_m=[0.01] * 2, latencies_s=[0.2, 0.4],
+                                 latency_factors=[0.5, 0.25], n_links=8, wall_s=2.0,
+                                 cpu_s=2.0, speed_factor=0.5)
+    values = run_mod.end_to_end_metrics("fleet_open", fleet, [1.0], 100.0)
+    assert values["latency_p50_s"] == pytest.approx(0.1)
+    assert values["latency_p90_s"] == pytest.approx(0.1)
+    assert values["links_per_s"] == 8.0
+
+
+def test_speed_probe_factor_is_the_reference_over_the_median_sample():
+    probe = envprobe.SpeedProbe()
+    for _ in range(3):
+        probe.sample()
+    assert len(probe.wall_s) == 3 and probe.cpu_s > 0
+    assert probe.factor() == envprobe.REFERENCE_PROBE_S / statistics.median(probe.wall_s)
 
 
 def test_peak_rss_covers_only_what_follows_the_reset():

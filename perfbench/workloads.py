@@ -4,13 +4,17 @@ Each driver builds its service through the public API, answers a
 warm-up untimed (operators, threads and caches are set-up cost, which
 ``setup_s`` reports), then times a fixed amount of work and returns the
 raw outcomes.  Work is fixed per ``--seconds`` (a size, not a deadline),
-so a faster program finishes sooner instead of doing more.
+so a faster program finishes sooner instead of doing more.  Between
+units of work, with nothing in flight, each driver samples the box's
+speed (:class:`perfbench.envprobe.SpeedProbe`); the samples' time is
+left out of the pass's wall and CPU totals.
 
 * ``fig7_sweeps`` — closed loop of fixed-size rounds of ``SweepRequest``s
   through ``StreamingRangingService``: the paper's own pipeline, where
   CSI preprocessing dominates and each round is one flush.
 * ``fleet_open`` — seeded Poisson open loop of ``LocalizationService.locate``
-  at a fixed absolute rate; latency is timed from each fix's due time.
+  at a fixed rate in reference seconds; latency is timed from each fix's
+  due time.
 * ``ista_products`` — closed loop of 64-link ``RangingService.submit``
   batches with ``method="ista"``: FISTA plus refinement, nothing else.
 """
@@ -28,8 +32,10 @@ from repro.net.service import RangingService
 from repro.rf.constants import SPEED_OF_LIGHT
 from repro.stream import StreamingRangingService
 
+from perfbench.envprobe import SpeedProbe
+
 FIG7_ROUND_LINKS = 4
-FIG7_LINKS_PER_S = 4.2
+FIG7_LINKS_PER_S = 5.12
 """Nominal rate sizing the fixed work: ``seconds × rate`` links."""
 
 ISTA_BATCH_LINKS = 64
@@ -38,6 +44,12 @@ ISTA_BATCHES_PER_S = 1.25
 FLEET_RATE_HZ = 1.5
 FLEET_LEAD_S = 0.05
 """Gap between the loop's start and the first possible due time."""
+FLEET_PROBE_GAP_S = 0.03
+"""The open loop stops sampling the box's speed this long before a due time."""
+FLEET_CALIBRATION_SAMPLES = 40
+"""Speed samples before the first fix, to set the schedule's first gaps."""
+FLEET_RECENT_SAMPLES = 200
+"""Speed samples (about 2 s of idle gaps) that set the schedule's pace."""
 
 WARMUP_LINKS = 2
 WARMUP_FIXES = 2
@@ -61,6 +73,17 @@ class PassResult:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     links_per_flush: float = 0.0
+    speed_factor: float = 1.0
+    """:meth:`SpeedProbe.factor` over the pass (1.0 when not sampled)."""
+    speed_probe_s: float = math.nan
+    n_speed_probes: int = 0
+    latency_factors: list[float] = field(default_factory=list)
+    """The open loop's speed factor at each fix's due time."""
+
+    def record_speed(self, probe: SpeedProbe) -> None:
+        self.speed_factor = probe.factor()
+        self.speed_probe_s = probe.median_s()
+        self.n_speed_probes = len(probe.wall_s)
 
 
 EXPECTED_LAYERS = {
@@ -153,14 +176,18 @@ async def _fig7(service: StreamingRangingService, cases, warmup, warmed) -> Pass
     warmed()
     flushes0, requests0 = service.stats.n_flushes, service.stats.n_requests
     result = PassResult()
-    cpu0, wall0 = time.process_time(), time.perf_counter()
+    probe = SpeedProbe()
+    cpu0 = time.process_time()
     for i in range(0, len(cases), FIG7_ROUND_LINKS):
         chunk = cases[i:i + FIG7_ROUND_LINKS]
+        start = time.perf_counter()
         responses, latencies = await _stream_round(service, chunk)
+        result.wall_s += time.perf_counter() - start
+        probe.sample()
         result.latencies_s.extend(latencies)
         _record_ranging(result, chunk, responses)
-    result.wall_s = time.perf_counter() - wall0
-    result.cpu_s = time.process_time() - cpu0
+    result.cpu_s = time.process_time() - cpu0 - probe.cpu_s
+    result.record_speed(probe)
     result.n_links = len(cases)
     stats = service.stats
     result.links_per_flush = (stats.n_requests - requests0) / max(stats.n_flushes - flushes0, 1)
@@ -171,16 +198,19 @@ async def _ista(service: RangingService, cases, warmup, warmed) -> PassResult:
     service.submit([c.request for c in warmup])
     warmed()
     result = PassResult()
-    cpu0, wall0 = time.process_time(), time.perf_counter()
+    probe = SpeedProbe()
+    cpu0 = time.process_time()
     for i in range(0, len(cases), ISTA_BATCH_LINKS):
         chunk = cases[i:i + ISTA_BATCH_LINKS]
         start = time.perf_counter()
         responses = service.submit([c.request for c in chunk])
         elapsed = time.perf_counter() - start
+        probe.sample()
+        result.wall_s += elapsed
         result.latencies_s.append(elapsed)
         _record_ranging(result, chunk, responses)
-    result.wall_s = time.perf_counter() - wall0
-    result.cpu_s = time.process_time() - cpu0
+    result.cpu_s = time.process_time() - cpu0 - probe.cpu_s
+    result.record_speed(probe)
     result.n_links = len(cases)
     return result
 
@@ -197,19 +227,42 @@ async def _fleet(service: LocalizationService, fleet, warmup, warmed) -> PassRes
         outcome = await service.locate(fix.client_id, fix.requests, time_s=fix.due_s)
         return outcome, time.perf_counter() - due
 
+    probe = SpeedProbe()
+    for _ in range(FLEET_CALIBRATION_SAMPLES):
+        probe.sample()
+    calibration_cpu_s = probe.cpu_s
     cpu0 = time.process_time()
-    base = time.perf_counter() + FLEET_LEAD_S
+    due = time.perf_counter() + FLEET_LEAD_S
+    schedule_s = 0.0
+    first_due = None
     tasks = []
     for fix in fleet.fixes:
-        due = base + fix.due_s
+        # The schedule runs in reference seconds: on a slow stretch of
+        # the box the gaps stretch with the program's work, so the load
+        # the program sees does not drift with the box.
+        factor = probe.recent_factor(FLEET_RECENT_SAMPLES)
+        due += (fix.due_s - schedule_s) / factor
+        schedule_s = fix.due_s
+        first_due = due if first_due is None else first_due
+        result.latency_factors.append(factor)
+        # Fill each gap with no fix in flight with speed samples: they
+        # follow the box all through the run and keep the loop's core
+        # from idling, whose wake-up would otherwise land in latency.
+        while due - time.perf_counter() > FLEET_PROBE_GAP_S:
+            pending = [t for t in tasks if not t.done()]
+            if pending:
+                await asyncio.wait(pending, timeout=due - time.perf_counter() - FLEET_PROBE_GAP_S)
+            else:
+                probe.sample()
         delay = due - time.perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)
         result.late_s.append(max(0.0, time.perf_counter() - due))
         tasks.append(asyncio.create_task(one(fix, due)))
     outcomes = await asyncio.gather(*tasks)
-    result.wall_s = time.perf_counter() - (base + fleet.fixes[0].due_s)
-    result.cpu_s = time.process_time() - cpu0
+    result.wall_s = time.perf_counter() - first_due
+    result.cpu_s = time.process_time() - cpu0 - (probe.cpu_s - calibration_cpu_s)
+    result.record_speed(probe)
     for fix, (outcome, latency) in zip(fleet.fixes, outcomes, strict=True):
         result.attempted += 1
         result.latencies_s.append(latency)
