@@ -129,6 +129,21 @@ def _kernel_breakdown(batch_s: float) -> dict:
     }
 
 
+def _fista_iteration_summary(warm_stats: list) -> dict:
+    """Mean, p90 and cap hits of the FISTA solves in per-call stats."""
+    iterations = np.array(
+        [n for stats in warm_stats for n in stats.fista_iterations], dtype=float
+    )
+    cap = CONFIG.sparse.max_iterations
+    return {
+        "n_solves": int(iterations.size),
+        "mean": float(iterations.mean()),
+        "p90": float(np.percentile(iterations, 90)),
+        "cap_hits": int(np.count_nonzero(iterations == cap)),
+        "max_iterations": cap,
+    }
+
+
 def make_links(n_links: int, seed: int = 42) -> np.ndarray:
     """Stacked 3-path reciprocity-squared channels with mild noise."""
     rng = np.random.default_rng(seed)
@@ -213,9 +228,13 @@ def test_batch_throughput():
         for i in range(N_LINKS)
     ]
     REGISTRY.reset()  # scope the kernel-stage sums to the batch phase
+    warm_stats = []
     t2 = time.perf_counter()
     batch_tofs = [
-        e.tof_s for e in engine.estimate_products_batch(FREQS, H, exponent=2)
+        e.tof_s
+        for e in engine.estimate_products_batch(
+            FREQS, H, exponent=2, warm_stats_out=warm_stats
+        )
     ]
     t3 = time.perf_counter()
 
@@ -238,18 +257,24 @@ def test_batch_throughput():
         "max_abs_tof_disagreement_s": agreement,
         "max_abs_drift_vs_seed_s": seed_drift,
         "batch_kernel_breakdown": _kernel_breakdown(batch_s),
+        "fista_iterations": _fista_iteration_summary(warm_stats),
     }
     _merge_artifact("ista", report)
     _append_history(
         "ista",
         N_LINKS / batch_s,
-        meta={"kernel_breakdown": report["batch_kernel_breakdown"]},
+        meta={
+            "kernel_breakdown": report["batch_kernel_breakdown"],
+            "fista_iterations": report["fista_iterations"],
+        },
     )
     print(
         f"\nbatch {N_LINKS / batch_s:.1f} links/s | scalar "
         f"{N_LINKS / scalar_s:.1f} | seed {N_LINKS / seed_s:.1f} | "
         f"speedup vs seed {speedup_vs_seed:.2f}x (target {TARGET_SPEEDUP}x), "
-        f"vs scalar {speedup_vs_scalar:.2f}x | agreement {agreement:.2e} s"
+        f"vs scalar {speedup_vs_scalar:.2f}x | agreement {agreement:.2e} s | "
+        f"FISTA iterations mean {report['fista_iterations']['mean']:.0f} "
+        f"p90 {report['fista_iterations']['p90']:.0f}"
     )
 
     assert agreement <= 1e-12, "batched engine diverged from the scalar path"

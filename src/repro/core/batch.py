@@ -371,6 +371,15 @@ class BatchTofEngine:
                 buckets=COUNT_BUCKETS,
                 method=method,
             )
+        if stats.fista_iterations:
+            # A solve that stops at the cap is indistinguishable from a
+            # converged one in the histogram's top bucket; count it.
+            cap = self.config.sparse.max_iterations
+            REGISTRY.inc(
+                "engine.fista_cap_hits_total",
+                sum(1 for n in stats.fista_iterations if n == cap),
+                method=method,
+            )
         self.last_warm_stats = stats
 
     def _estimate_group_stack(
@@ -388,9 +397,7 @@ class BatchTofEngine:
         The ista method runs one batched Algorithm 1 inversion over the
         whole stack, then applies the scalar peak/gate/refine logic per
         link.  The hybrid method runs the batched deflation kernel over
-        the stack (:meth:`_hybrid_group_stack`).  Any other method falls
-        back to the scalar group estimator link by link, riding on the
-        operator cache.
+        the stack (:meth:`_hybrid_group_stack`).
 
         ``hints`` arrive in the raw τ domain and are scaled into this
         group's delay domain here (``exponent × τ``).
@@ -404,14 +411,6 @@ class BatchTofEngine:
             return self._hybrid_group_stack(
                 name, freqs, stacked, exponent, gates, hint_list, telemetry
             )
-        if cfg.method != "ista":
-            return [
-                est._estimate_group(
-                    name, freqs, stacked[i], exponent, gates[i],
-                    hint=hint_list[i],
-                )
-                for i in range(n_links)
-            ]
         coarse_mask = est._coarse_mask(freqs)
         coarse_freqs = freqs[coarse_mask]
         coarse_stack = np.ascontiguousarray(stacked[:, coarse_mask])

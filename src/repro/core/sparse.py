@@ -8,9 +8,15 @@ penalty (Eqn. 10):
 
 and solves it with a proximal-gradient iteration whose proximal operator
 is complex soft-thresholding — the paper's SPARSIFY function.  We
-implement exactly that (ISTA), plus optional FISTA acceleration (same
-fixed point, fewer iterations), with the paper's step size
-``gamma = 1 / ||F||^2`` and its ``||p_{t+1} - p_t|| < eps`` stop rule.
+implement exactly that (ISTA), plus optional FISTA acceleration with
+gradient-based adaptive restart (O'Donoghue & Candès 2015): on every
+stop-test iteration, a link whose momentum points against its latest
+step (``Re<y_k - p_{k+1}, p_{k+1} - p_k> > 0``) has its momentum
+dropped and its step counter reset.  Both reach the same fixed point;
+restarted FISTA gets there in roughly a third of plain FISTA's
+iterations on 24-band 5 GHz links.  The paper's step size
+``gamma = 1 / ||F||^2`` and its ``||p_{t+1} - p_t|| < eps`` stop rule
+apply throughout.
 """
 
 from __future__ import annotations
@@ -44,13 +50,16 @@ class SparseSolverConfig:
         max_iterations: Hard iteration cap.
         tolerance_rel: Stop when the iterate moves less than this fraction
             of its own norm (the paper's epsilon, made scale-free).
-        accelerated: Use FISTA momentum (same solution, ~10x faster).
-        check_every: Iterations between convergence tests.  Testing is
-            two full reductions per active link, a measurable share of
-            an iteration's cost; checking every few iterations trades at
-            most ``check_every - 1`` extra (convergent) iterations per
-            link for that overhead.  Applies identically to the scalar
-            and batched solvers, which share the kernel.
+        accelerated: Use FISTA momentum with per-link gradient restart
+            (same solution as plain ISTA in far fewer iterations).  The
+            restart test runs on the ``check_every`` iterations only.
+        check_every: Iterations between convergence (and restart)
+            tests.  Testing is three full reductions per active link, a
+            measurable share of an iteration's cost; checking every few
+            iterations trades at most ``check_every - 1`` extra
+            (convergent) iterations per link for that overhead.  Applies
+            identically to the scalar and batched solvers, which share
+            the kernel.
     """
 
     alpha_rel: float = 0.08
@@ -144,7 +153,10 @@ def invert_ndft_batch(
     Solves ``min ||h_i - F p_i||² + α_i ||p_i||₁`` for every row ``h_i``
     of ``channels`` in one vectorized FISTA run: the per-iteration
     matrix products become single GEMMs over all still-active links,
-    which is where the batched engine's throughput comes from.
+    which is where the batched engine's throughput comes from.  With
+    ``accelerated`` on, each column restarts its own momentum when the
+    gradient test fires, so a link's trajectory never depends on the
+    other links in the stack.
 
     Per-link semantics match the scalar solver exactly: each link gets
     its own ``α_i`` (relative to its ``||Fᴴh_i||_inf``) and its own stop
@@ -157,7 +169,7 @@ def invert_ndft_batch(
     the link into *extra* convergence tests on the iterations between
     regular checks, so an already-converged seed freezes after a single
     step instead of riding out the check cadence.  All-zero rows are
-    exactly the cold start: every GEMM, threshold and stop test here is
+    exactly the cold start: every GEMM, threshold, stop and restart test is
     column-independent, so cold links in a mixed batch follow the cold
     trajectory bit for bit, and a warm link behaves identically whether
     solved alone or stacked with cold ones.
@@ -209,6 +221,7 @@ def invert_ndft_batch(
     gamma = 1.0 / op.lipschitz
 
     n_links = H_rows.shape[0]
+    n_freqs = len(freqs)
     m = len(taus)
     if initial is not None:
         initial = np.asarray(initial, dtype=complex)
@@ -242,32 +255,43 @@ def invert_ndft_batch(
     else:
         P = np.zeros((m, n_active), dtype=complex)
         warm = np.zeros(n_active, dtype=bool)
-    momentum = P
-    t_k = 1.0
-    # Scratch buffers (re-sliced when converged columns are retired):
-    # every per-iteration op below writes into one of these, so the hot
-    # loop allocates nothing but the thresholding temporaries.
-    residual = np.empty((len(freqs), n_active), dtype=complex)
-    grad = np.empty((m, n_active), dtype=complex)
+    # FISTA state per column: the momentum point y (starting at p_0) and
+    # the step counter t, a vector because restart resets it per link.
+    momentum = P.copy() if cfg.accelerated else P
+    t_k = np.ones(n_active)
+    work = _FistaScratch(n_freqs, m, n_active)
     for iteration in range(1, cfg.max_iterations + 1):
         base = momentum if cfg.accelerated else P
-        np.dot(F, base, out=residual)
-        np.subtract(residual, H_a, out=residual)
-        np.dot(Fh, residual, out=grad)
-        np.multiply(grad, -gamma, out=grad)
-        np.add(grad, base, out=grad)
-        P_next = _soft_threshold_columns(grad, thr)
-        diff = P_next - P
+        np.dot(F, base, out=work.residual)
+        np.subtract(work.residual, H_a, out=work.residual)
+        np.dot(Fh, work.residual, out=work.grad)
+        np.multiply(work.grad, -gamma, out=work.grad)
+        np.add(work.grad, base, out=work.grad)
+        P_next = _soft_threshold_columns(work.grad, thr, work)
+        diff = np.subtract(P_next, P, out=work.diff)
         check = iteration % cfg.check_every == 0 or iteration == cfg.max_iterations
         done: BoolMask | None = None
+        restart: BoolMask | None = None
         if check:
             # The scalar stop rule ``||Δp|| < tol·||p||`` compared in
             # squares (one fused reduction per column, no square roots).
-            step2 = np.einsum("ij,ij->j", diff, diff.conj()).real
+            # ``grad`` is free once thresholded, so it takes the
+            # conjugated iterate and then the restart test's gap.
+            diff_conj = np.conjugate(diff, out=work.diff_conj)
+            step2 = np.einsum("ij,ij->j", diff, diff_conj).real
             scale2 = np.maximum(
-                np.einsum("ij,ij->j", P_next, P_next.conj()).real, 1e-60
+                np.einsum(
+                    "ij,ij->j", P_next, np.conjugate(P_next, out=work.grad)
+                ).real,
+                1e-60,
             )
             done = step2 < tol2 * scale2
+            if cfg.accelerated:
+                # Gradient restart (O'Donoghue & Candès 2015): once the
+                # momentum point y_k and the step p_{k+1} - p_k disagree,
+                # momentum is carrying the column uphill, so drop it.
+                gap = np.subtract(base, P_next, out=work.grad)
+                restart = np.einsum("ij,ij->j", gap, diff_conj).real > 0.0
         elif warm.any():
             # Off-cadence stop test for warm columns only: a seed that
             # arrives converged should freeze at iteration 1, not wait
@@ -284,10 +308,15 @@ def invert_ndft_batch(
             done[w[step2_w < tol2 * scale2_w]] = True
         if cfg.accelerated:
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
-            np.multiply(diff, (t_k - 1.0) / t_next, out=diff)
-            np.add(P_next, diff, out=diff)
-            momentum = diff
+            weight = (t_k - 1.0) / t_next
+            if restart is not None:
+                weight[restart] = 0.0
+                t_next[restart] = 1.0
+            np.multiply(diff, weight, out=diff)
+            np.add(P_next, diff, out=momentum)
             t_k = t_next
+        # Ping-pong: the old iterate's buffer receives the next threshold.
+        work.iterate = P
         P = P_next
         if done is None:
             continue
@@ -299,21 +328,67 @@ def invert_ndft_batch(
             active = active[keep]
             if active.size == 0:
                 return out
-            P = np.ascontiguousarray(P[:, keep])
-            H_a = np.ascontiguousarray(H_a[:, keep])
+            P = _compact(P, keep)
+            H_a = _compact(H_a, keep)
             thr = thr[keep]
             warm = warm[keep]
+            t_k = t_k[keep]
             if cfg.accelerated:
-                momentum = np.ascontiguousarray(momentum[:, keep])
-            residual = np.empty((len(freqs), active.size), dtype=complex)
-            grad = np.empty((m, active.size), dtype=complex)
+                momentum = _compact(momentum, keep)
+            work.narrow(active.size)
     out[active] = P.T
     if iterations_out is not None:
         iterations_out[active] = cfg.max_iterations
     return out
 
 
-def _soft_threshold_columns(P: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+class _FistaScratch:
+    """Work arrays of the FISTA loop, sized once for the whole batch.
+
+    Every per-iteration operation writes into one of these, so the loop
+    allocates nothing.  ``iterate`` is the ping-pong partner of the
+    current iterate: each threshold lands in it, and the iterate it
+    replaces becomes the next one's target.  When columns retire, each
+    array is narrowed to a view of its own buffer's front (see
+    :func:`_compact`), never reallocated.
+    """
+
+    __slots__ = ("residual", "grad", "iterate", "diff", "diff_conj", "mags", "shrink")
+
+    def __init__(self, n_freqs: int, m: int, n_columns: int) -> None:
+        self.residual = np.empty((n_freqs, n_columns), dtype=complex)
+        self.grad = np.empty((m, n_columns), dtype=complex)
+        self.iterate = np.empty((m, n_columns), dtype=complex)
+        self.diff = np.empty((m, n_columns), dtype=complex)
+        self.diff_conj = np.empty((m, n_columns), dtype=complex)
+        self.mags = np.empty((m, n_columns))
+        self.shrink = np.empty((m, n_columns))
+
+    def narrow(self, n_columns: int) -> None:
+        """Re-view every array at ``n_columns`` columns (contents dropped)."""
+        for name in self.__slots__:
+            array = getattr(self, name)
+            rows = array.shape[0]
+            setattr(
+                self, name, array.reshape(-1)[: rows * n_columns].reshape(rows, n_columns)
+            )
+
+
+def _compact(X: np.ndarray, keep: BoolMask) -> np.ndarray:
+    """The ``keep`` columns of C-contiguous ``X``, moved to its buffer's front.
+
+    Returns a C-contiguous view of ``X``'s own memory, so a retirement
+    costs one transient copy of the survivors and leaves nothing behind.
+    """
+    kept = X[:, keep]
+    front = X.reshape(-1)[: kept.size].reshape(kept.shape)
+    front[...] = kept
+    return front
+
+
+def _soft_threshold_columns(
+    P: np.ndarray, thresholds: np.ndarray, work: _FistaScratch
+) -> np.ndarray:
     """Column-wise complex soft-thresholding (``thresholds[j]`` per column).
 
     Same shrinkage map as :func:`soft_threshold`, expressed as
@@ -321,18 +396,21 @@ def _soft_threshold_columns(P: np.ndarray, thresholds: np.ndarray) -> np.ndarray
     this runs once per FISTA iteration on the full batch: entries at or
     below the threshold get a zero ratio, and the subnormal clamp on
     the denominator keeps 0/0 out without a data-dependent branch.
+    Writes into ``work.iterate`` (returned) using the scratch's real
+    buffers, so it allocates nothing.
     """
     # sqrt(re² + im²) instead of np.abs: the hypot ufunc's overflow
     # guards cost ~2x on arrays this size, and profile entries are
     # nowhere near the overflow range.
-    mags = P.real * P.real
-    mags += P.imag * P.imag
+    mags = np.multiply(P.real, P.real, out=work.mags)
+    shrink = np.multiply(P.imag, P.imag, out=work.shrink)
+    np.add(mags, shrink, out=mags)
     np.sqrt(mags, out=mags)
-    shrink = mags - np.asarray(thresholds, dtype=float)
+    np.subtract(mags, thresholds, out=shrink)
     np.maximum(shrink, 0.0, out=shrink)
     np.maximum(mags, 1e-300, out=mags)
     np.divide(shrink, mags, out=shrink)
-    return P * shrink
+    return np.multiply(P, shrink, out=work.iterate)
 
 
 def lasso_objective(

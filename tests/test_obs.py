@@ -328,6 +328,28 @@ class TestPerCallTelemetry:
         # And the registry accumulated the fold.
         assert REGISTRY.value("engine.links_cold_total", method="hybrid") == 2.0
 
+    def test_capped_fista_solves_are_counted(self, rng):
+        links = np.vstack([one_link(rng, FREQS), one_link(rng, FREQS, 40e-9)])
+        capped = TofEstimatorConfig(
+            method="ista",
+            quirk_2g4=False,
+            sparse=SparseSolverConfig(max_iterations=3),
+        )
+        out = []
+        BatchTofEngine(capped).estimate_products_batch(
+            FREQS, links, warm_stats_out=out
+        )
+        (stats,) = out
+        assert stats.fista_iterations and set(stats.fista_iterations) == {3}
+        hits = REGISTRY.value("engine.fista_cap_hits_total", method="ista")
+        assert hits == len(stats.fista_iterations)
+        # Solves that converge under the cap leave the counter alone.
+        BatchTofEngine(
+            TofEstimatorConfig(method="ista", quirk_2g4=False)
+        ).estimate_products_batch(FREQS, links, warm_stats_out=out)
+        assert max(out[-1].fista_iterations) < 2000
+        assert REGISTRY.value("engine.fista_cap_hits_total", method="ista") == hits
+
     def test_service_returns_stats_per_call(self, rng):
         service = RangingService(FAST_CONFIG)
         requests = [
